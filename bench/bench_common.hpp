@@ -28,7 +28,7 @@ namespace gcp::bench {
 
 /// All experiment knobs, with scaled-down defaults.
 struct BenchConfig {
-  // Corpus (AIDS-like synthetic; see DESIGN.md §4).
+  // Corpus (AIDS-like synthetic; shape rationale in dataset/aids_like.hpp).
   std::uint32_t graphs = 500;
   double mean_vertices = 30.0;
   double stddev_vertices = 12.0;

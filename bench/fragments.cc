@@ -22,9 +22,9 @@
 //   - a fragments-off row reports any fragment activity.
 //
 // Per row the JSON carries the fragment counters (hits, computations,
-// intersections, candidates pruned, admissions/merges/evictions,
-// digest collisions) and the approximate resident byte footprint split
-// (graph/bitset/posting/fragment bytes).
+// intersections, candidates pruned, (star, graph) checks,
+// admissions/merges/evictions, digest collisions) and the approximate
+// resident byte footprint split (graph/bitset/posting/fragment bytes).
 
 #include <cstdio>
 #include <memory>
@@ -59,6 +59,7 @@ void EmitRow(JsonWriter* json, const char* system, const char* path,
       "\"fragment_hits\": %llu, \"fragment_computed\": %llu, "
       "\"fragment_intersections\": %llu, "
       "\"fragment_candidates_pruned\": %llu, "
+      "\"fragment_star_checks\": %llu, "
       "\"fragment_admissions\": %llu, \"fragment_merges\": %llu, "
       "\"fragment_evictions\": %llu, \"fragment_digest_collisions\": %llu, "
       "\"approx_graph_bytes\": %llu, \"approx_bitset_bytes\": %llu, "
@@ -72,6 +73,7 @@ void EmitRow(JsonWriter* json, const char* system, const char* path,
       static_cast<unsigned long long>(r.agg.fragment_computed),
       static_cast<unsigned long long>(r.agg.fragment_intersections),
       static_cast<unsigned long long>(r.agg.fragment_candidates_pruned),
+      static_cast<unsigned long long>(r.agg.fragment_star_checks),
       static_cast<unsigned long long>(r.cache_stats.fragment_admissions),
       static_cast<unsigned long long>(r.cache_stats.fragment_merges),
       static_cast<unsigned long long>(r.cache_stats.fragment_evictions),

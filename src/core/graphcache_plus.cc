@@ -1022,6 +1022,7 @@ void GraphCachePlus::ExecuteReadSlice(
     fragments = DecomposeToFragments(g, options_.max_fragments_per_query);
   }
   std::vector<DynamicBitset> fragment_masks(fragments.size());
+  std::vector<DynamicBitset> fragment_valid(fragments.size());
   std::vector<char> fragment_resident(fragments.size(), 0);
 
   // --- Shard-local hit discovery: one shared shard lock at a time, held
@@ -1061,6 +1062,7 @@ void GraphCachePlus::ExecuteReadSlice(
         // nothing this query (pruning is optional, never required).
         if (e == nullptr || e->valid.size() != csm.size()) continue;
         fragment_masks[i] = e->ValidNonAnswer();
+        fragment_valid[i] = e->valid;
         fragment_resident[i] = 1;
         ++m.fragment_hits;
       }
@@ -1075,62 +1077,67 @@ void GraphCachePlus::ExecuteReadSlice(
   m.t_prune_ns = prune_watch.ElapsedNanos();
 
   // --- Sub-pattern fragment tier, part 2: between whole-query pruning
-  // and Method M. Each resident fragment's valid non-answer mask AND-NOTs
-  // straight out of the candidate set; each missing fragment is computed
-  // over CS_M here (it prunes this query too, and becomes an offer for
-  // the next). Only `pruned.candidates` is touched — answers, whole-query
-  // credits and the admission offer below never see fragment state, so
-  // the --fragments=off oracle stays bit-exact on everything but
+  // and Method M. Every resident fragment's valid non-answer mask AND-NOTs
+  // out of the candidate set first; then each star is checked directly
+  // (StarEmbeds, no search) on the surviving candidates it has no valid
+  // knowledge of — all survivors on a miss, the uncovered ones on a
+  // partially valid resident (a top-up). A failed check prunes this query
+  // and the checked set becomes an offer (valid = exactly that set) whose
+  // drain-side merge unions coverage over later queries. Only
+  // `pruned.candidates` is touched — answers, whole-query credits and the
+  // admission offer below never see fragment state, so the
+  // --fragments=off oracle stays bit-exact on everything but
   // si_tests/candidates_final (the win being measured).
   if (!fragments.empty() && !pruned.direct) {
     Stopwatch fragment_watch;
     for (std::size_t i = 0; i < fragments.size(); ++i) {
-      DynamicBitset computed;
-      if (!fragment_resident[i]) {
-        // Miss: verify the star against every CS_M member. Stars are
-        // tiny; the prepared path reuses the vertex order across targets.
-        const auto prepared = internal_matcher_->Prepare(fragments[i].star);
-        DynamicBitset star_answer(csm.size());
-        for (std::size_t id = csm.FindFirst(); id != DynamicBitset::npos;
-             id = csm.FindNext(id + 1)) {
-          const Graph& target =
-              snap != nullptr ? snap->graph(static_cast<GraphId>(id))
-                              : dataset_->graph(static_cast<GraphId>(id));
-          if (internal_matcher_->ContainsPrepared(*prepared, target)) {
-            star_answer.Set(id);
-          }
-        }
-        ++m.fragment_computed;
-        computed = DynamicBitset::AndNot(csm, star_answer);
-        if (shed_offers) {
-          // ELEVATED: the freshly computed knowledge still prunes THIS
-          // query (below), but is not offered to the store.
-          admission_offers_shed_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          // The fresh knowledge covers exactly the candidates checked:
-          // valid = CS_M, stamped with the watermark it was computed at.
-          AdmissionOffer offer;
-          offer.entry = CacheManager::PrepareEntry(
-              std::make_shared<const Graph>(fragments[i].star),
-              CachedQueryKind::kSubgraph, std::move(star_answer),
-              DynamicBitset(csm),
-              StatisticsManager::StructuralCostEstimateMs(fragments[i].star));
-          offer.observed_watermark = watermark;
-          batch_for(cache_.ShardOfDigest(fragments[i].digest))
-              .fragment_offers.push_back(std::move(offer));
-        }
-      }
-      const DynamicBitset& mask =
-          fragment_resident[i] ? fragment_masks[i] : computed;
-      if (mask.size() != pruned.candidates.size()) continue;
-      const std::uint64_t removed = mask.CountAnd(pruned.candidates);
-      pruned.candidates.AndNotWith(mask);
+      if (!fragment_resident[i]) continue;
+      const std::uint64_t removed =
+          fragment_masks[i].CountAnd(pruned.candidates);
+      pruned.candidates.AndNotWith(fragment_masks[i]);
       ++m.fragment_intersections;
       m.fragment_candidates_pruned += removed;
-      if (fragment_resident[i]) {
-        batch_for(cache_.ShardOfDigest(fragments[i].digest))
-            .fragment_credits.push_back({fragments[i].digest, removed});
+      batch_for(cache_.ShardOfDigest(fragments[i].digest))
+          .fragment_credits.push_back({fragments[i].digest, removed});
+    }
+    for (std::size_t i = 0; i < fragments.size(); ++i) {
+      DynamicBitset checked = pruned.candidates;
+      if (fragment_resident[i]) checked.AndNotWith(fragment_valid[i]);
+      if (checked.None()) continue;
+      DynamicBitset star_answer(csm.size());
+      std::uint64_t removed = 0;
+      for (std::size_t id = checked.FindFirst(); id != DynamicBitset::npos;
+           id = checked.FindNext(id + 1)) {
+        const Graph& target =
+            snap != nullptr ? snap->graph(static_cast<GraphId>(id))
+                            : dataset_->graph(static_cast<GraphId>(id));
+        ++m.fragment_star_checks;
+        if (StarEmbeds(fragments[i], target)) {
+          star_answer.Set(id);
+        } else {
+          pruned.candidates.Reset(id);
+          ++removed;
+        }
       }
+      ++m.fragment_computed;
+      ++m.fragment_intersections;
+      m.fragment_candidates_pruned += removed;
+      if (shed_offers) {
+        // ELEVATED: the fresh knowledge still pruned THIS query (above),
+        // but is not offered to the store.
+        admission_offers_shed_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      // Stamped with the watermark it was computed at.
+      AdmissionOffer offer;
+      offer.entry = CacheManager::PrepareEntry(
+          std::make_shared<const Graph>(fragments[i].star),
+          CachedQueryKind::kSubgraph, std::move(star_answer),
+          std::move(checked),
+          StatisticsManager::StructuralCostEstimateMs(fragments[i].star));
+      offer.observed_watermark = watermark;
+      batch_for(cache_.ShardOfDigest(fragments[i].digest))
+          .fragment_offers.push_back(std::move(offer));
     }
     // candidates_final reports what Method M actually verifies.
     m.candidates_final = pruned.candidates.Count();

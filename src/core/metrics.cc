@@ -20,6 +20,7 @@ void AggregateMetrics::Add(const QueryMetrics& m) {
   fragment_computed += m.fragment_computed;
   fragment_intersections += m.fragment_intersections;
   fragment_candidates_pruned += m.fragment_candidates_pruned;
+  fragment_star_checks += m.fragment_star_checks;
   t_validate_ns += m.t_validate_ns;
   t_index_ns += m.t_index_ns;
   t_probe_ns += m.t_probe_ns;
@@ -46,6 +47,7 @@ std::string AggregateMetrics::ToString() const {
      << " sub_hits=" << sub_hits << " super_hits=" << super_hits
      << " fragment_hits=" << fragment_hits
      << " fragment_pruned=" << fragment_candidates_pruned
+     << " fragment_star_checks=" << fragment_star_checks
      << " avg_query_ms=" << AvgQueryTimeMs()
      << " avg_overhead_ms=" << AvgOverheadMs();
   return os.str();

@@ -34,9 +34,13 @@ struct QueryMetrics {
 
   // --- fragment cache ------------------------------------------------------
   std::uint32_t fragment_hits = 0;      ///< Resident fragments intersected.
-  std::uint32_t fragment_computed = 0;  ///< Fragments computed on miss.
+  /// Stars checked on >= 1 candidate: misses and resident top-ups.
+  std::uint32_t fragment_computed = 0;
   std::uint32_t fragment_intersections = 0;  ///< Mask AND-NOTs applied.
   std::uint64_t fragment_candidates_pruned = 0;  ///< Candidates removed.
+  /// (star, graph) StarEmbeds checks run — the tier's verification work,
+  /// counted apart from the Method M si_tests.
+  std::uint64_t fragment_star_checks = 0;
 
   // --- timings (ns) --------------------------------------------------------
   std::int64_t t_validate_ns = 0;     ///< CON: Algorithms 1 + 2 (EVI: purge).
@@ -47,8 +51,9 @@ struct QueryMetrics {
   /// utilities and containment verification.
   std::int64_t t_discover_ns = 0;
   std::int64_t t_prune_ns = 0;        ///< Bitset algebra of formulas (1)-(5).
-  /// Fragment mask intersection + on-miss fragment computation (the
-  /// shard-lock fragment probes ride t_probe_ns with discovery).
+  /// Fragment mask intersection + direct star checks on the surviving
+  /// candidates (the shard-lock fragment probes ride t_probe_ns with
+  /// discovery).
   std::int64_t t_fragment_ns = 0;
   std::int64_t t_verify_ns = 0;       ///< Method M sub-iso testing.
   std::int64_t t_maintenance_ns = 0;  ///< Admission + replacement + indexing.
@@ -80,6 +85,7 @@ struct AggregateMetrics {
   std::uint64_t fragment_computed = 0;
   std::uint64_t fragment_intersections = 0;
   std::uint64_t fragment_candidates_pruned = 0;
+  std::uint64_t fragment_star_checks = 0;
   std::int64_t t_validate_ns = 0;
   std::int64_t t_index_ns = 0;
   std::int64_t t_probe_ns = 0;

@@ -94,10 +94,13 @@ struct GraphCachePlusOptions {
   /// per-fragment candidate bitsets beside the whole-query entries, and
   /// on a whole-query miss intersect the valid fragment non-answers out
   /// of Method M's candidate set — a pruning tier between the FTV filter
-  /// and sub-iso verification. Pruning-only: a stale or missing fragment
-  /// can never change an answer, so off is the bit-exact oracle (same
-  /// answers, same resident whole-query state, same replacement
-  /// decisions; kept for before/after benchmarking).
+  /// and sub-iso verification. A star with no valid knowledge of a
+  /// surviving candidate is checked on it directly (neighbour-label
+  /// counts, no search) and the result is offered to the store, so a
+  /// miss costs one cheap check per surviving candidate. Pruning-only: a
+  /// stale or missing fragment can never change an answer, so off is the
+  /// bit-exact oracle (same answers, same resident whole-query state,
+  /// same replacement decisions; kept for before/after benchmarking).
   bool use_fragment_cache = true;
 
   /// Total fragment-store capacity across all shards (entries). 0

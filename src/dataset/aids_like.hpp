@@ -4,8 +4,11 @@
 // vertices (σ 22, max 245) and ≈47 edges (σ 23, max 250), with a skewed
 // vertex-label (atom type) distribution. The original files are not
 // redistributable, so this generator synthesizes molecule-like graphs
-// matching the published shape statistics (see DESIGN.md §4 for why this
-// substitution preserves the behaviours GC+ depends on):
+// matching the published shape statistics. The substitution preserves
+// what GC+'s behaviour depends on: sub-iso cost per graph follows graph
+// size and degree, and cache hit rates, pruning power and fragment reuse
+// follow how often labelled substructures recur, which the label skew
+// sets. Chemistry itself plays no part. The shape:
 //   * vertex counts: log-normal fitted to mean 45 / σ 22, clipped to
 //     [kMinVertices, max_vertices];
 //   * edges: a random spanning tree plus a small number of cycle-closing

@@ -66,12 +66,42 @@ std::vector<Fragment> DecomposeToFragments(const Graph& g,
   std::vector<Fragment> out;
   out.reserve(keys.size());
   for (Key& key : keys) {
-    Fragment f;
-    f.star = MakeStarGraph(key.first, std::move(key.second));
-    f.digest = WlDigest(f.star);
-    out.push_back(std::move(f));
+    out.push_back(MakeFragment(key.first, std::move(key.second)));
   }
   return out;
+}
+
+Fragment MakeFragment(Label center, std::vector<Label> leaves) {
+  Fragment f;
+  f.star = MakeStarGraph(center, std::move(leaves));
+  f.digest = WlDigest(f.star);
+  for (VertexId v = 1; v < f.star.NumVertices(); ++v) {
+    const Label l = f.star.label(v);  // ascending: leaves are sorted
+    if (f.leaves.empty() || f.leaves.back().first != l) {
+      f.leaves.emplace_back(l, 0);
+    }
+    ++f.leaves.back().second;
+  }
+  return f;
+}
+
+bool StarEmbeds(const Fragment& f, const Graph& g) {
+  const std::size_t num_leaves = f.star.NumVertices() - 1;
+  const std::uint64_t center_sig = f.star.vertex_signature(0);
+  for (const VertexId v : g.VerticesWithLabel(f.star.label(0))) {
+    // Degree and signature dominance are necessary conditions that
+    // reject most centers before any label run is searched.
+    if (g.degree(v) < num_leaves ||
+        !SignatureDominates(center_sig, g.vertex_signature(v))) {
+      continue;
+    }
+    const bool fits = std::all_of(
+        f.leaves.begin(), f.leaves.end(), [&](const auto& run) {
+          return g.NeighborsWithLabel(v, run.first).size() >= run.second;
+        });
+    if (fits) return true;
+  }
+  return false;
 }
 
 }  // namespace gcp

@@ -21,6 +21,13 @@
 // graph containing the query contains every one of its fragments. A
 // fragment's valid-negative set (valid ∧ ¬answer) is therefore a sound
 // exclusion set for any query the fragment decomposes from.
+//
+// Checking a star needs no search. Under those semantics a star with
+// center label c and leaf multiset L embeds in an undirected
+// vertex-labelled G iff some vertex v of label c has, for every leaf
+// label l, at least mult_L(l) neighbours labelled l: leaves of different
+// labels compete for disjoint neighbour sets, and leaves of one label
+// for interchangeable ones, so counting is exact (StarEmbeds).
 
 #ifndef GCP_MATCH_FRAGMENTS_HPP_
 #define GCP_MATCH_FRAGMENTS_HPP_
@@ -36,6 +43,7 @@ namespace gcp {
 struct Fragment {
   Graph star;                 ///< Canonical star graph (center = vertex 0).
   std::uint64_t digest = 0;   ///< WlDigest(star) — the cache key.
+  LabelHistogram leaves;      ///< Leaf multiset as sorted (label, count).
 };
 
 /// Builds the canonical star graph for (center, leaves): vertex 0 carries
@@ -43,6 +51,14 @@ struct Fragment {
 /// leaf connects to the center. Single-edge stars normalize the center to
 /// the smaller endpoint label. Isomorphic stars produce equal graphs.
 Graph MakeStarGraph(Label center, std::vector<Label> leaves);
+
+/// The fragment of the star (center, leaves): its canonical graph, digest
+/// and run-length leaf multiset. `leaves` must be non-empty.
+Fragment MakeFragment(Label center, std::vector<Label> leaves);
+
+/// True iff `f.star` embeds in `g` (non-induced, label-preserving,
+/// injective) — decided by neighbour-label counts, no search.
+bool StarEmbeds(const Fragment& f, const Graph& g);
 
 /// Decomposes `g` into its distinct one-hop fragments: one candidate star
 /// per vertex of degree >= 1, deduplicated by canonical key, ordered most

@@ -9,6 +9,10 @@
 // across {CON, EVI} × {lock, epoch} × shards {1, 8}. The fragment
 // counters ride along to prove the tier actually engaged: fragments were
 // admitted, probed, intersected, and (CON) reconciled or (EVI) purged.
+// A miss checks each star only on the candidates still alive, so the
+// star-check count stays strictly below one full pass over CS_M per
+// computed star; the top-up test pins how a partially valid resident is
+// completed by the next query and merged.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +23,7 @@
 
 #include "core/graphcache_plus.hpp"
 #include "dataset/aids_like.hpp"
+#include "match/fragments.hpp"
 #include "workload/type_a.hpp"
 
 namespace gcp {
@@ -43,7 +48,7 @@ struct EngineUnderTest {
 
 EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
                            bool epoch, std::size_t shards, bool fragments,
-                           bool admission) {
+                           bool admission, bool ftv = true) {
   EngineUnderTest e;
   e.ds = std::make_unique<GraphDataset>();
   e.ds->Bootstrap(corpus);
@@ -53,7 +58,7 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.window_capacity = 4;
   opts.num_shards = shards;
   opts.epoch_reads = epoch;
-  opts.use_ftv_index = true;
+  opts.use_ftv_index = ftv;
   opts.use_fragment_cache = fragments;
   // Small enough that the churn exercises fragment LRU eviction too.
   opts.fragment_capacity = 24;
@@ -132,6 +137,9 @@ void RunFragmentReplay(CacheModel model, bool epoch, std::size_t shards) {
 
   AggregateMetrics on_agg;
   AggregateMetrics off_agg;
+  // Sum over queries of fragment_computed × |CS_M|: what checking every
+  // computed star against all of CS_M would cost.
+  std::uint64_t full_pass_checks = 0;
   for (std::size_t step = 0; step < kSteps; ++step) {
     if (step % 7 == 5) {
       for (EngineUnderTest* e : {&on, &off, &method_m}) {
@@ -153,6 +161,8 @@ void RunFragmentReplay(CacheModel model, bool epoch, std::size_t shards) {
         << "fragment pruning changed an answer at step " << step;
     off_agg.Add(off_res.metrics);
     on_agg.Add(on_res.metrics);
+    full_pass_checks += std::uint64_t{on_res.metrics.fragment_computed} *
+                        on_res.metrics.candidates_initial;
   }
 
   // Settle: the churn ends on a mutation batch, which the lock path
@@ -187,6 +197,9 @@ void RunFragmentReplay(CacheModel model, bool epoch, std::size_t shards) {
   EXPECT_GT(on_agg.fragment_intersections, 0u);
   EXPECT_GT(on_agg.fragment_candidates_pruned, 0u);
   EXPECT_GT(ons.approx_fragment_bytes, 0u);
+  // ...stars are checked only on surviving candidates...
+  EXPECT_GT(on_agg.fragment_star_checks, 0u);
+  EXPECT_LT(on_agg.fragment_star_checks, full_pass_checks);
   // ...pruning never inflates verification work...
   EXPECT_LE(on_agg.si_tests, off_agg.si_tests);
   // ...and reconciliation reached the fragment store (CON refreshes it,
@@ -198,6 +211,87 @@ void RunFragmentReplay(CacheModel model, bool epoch, std::size_t shards) {
   EXPECT_EQ(offs.fragment_hits, 0u);
   EXPECT_EQ(offs.fragment_candidates_pruned, 0u);
   EXPECT_EQ(offs.approx_fragment_bytes, 0u);
+  EXPECT_EQ(off_agg.fragment_star_checks, 0u);
+}
+
+const CachedQuery* FindFragment(const std::vector<CachedQuery>& fragments,
+                                std::uint64_t digest) {
+  for (const CachedQuery& e : fragments) {
+    if (e.digest == digest) return &e;
+  }
+  return nullptr;
+}
+
+TEST(FragmentEquivalenceTest, PartiallyValidResidentIsToppedUp) {
+  // q1 = path 1-0-2, the star 0{1,2}. Its stars are checked most
+  // selective first, so the edge star 0-1 is checked only on the graphs
+  // 0{1,2} kept: it becomes resident valid on just that part of CS_M.
+  // q2 = path 0-1-2 (no whole-query relation to q1) checks its star
+  // 1{0,2} on all of CS_M first; the edge star is then topped up on only
+  // the survivors outside its valid set, and the drain merges both
+  // checked sets.
+  const std::vector<Graph> corpus = ChurnCorpus(2468);
+  // FTV off: CS_M is every live graph, so the expected sets below are
+  // plain star-containment splits of the corpus.
+  EngineUnderTest on = MakeEngine(corpus, CacheModel::kCon, /*epoch=*/false,
+                                  /*shards=*/1, /*fragments=*/true,
+                                  /*admission=*/true, /*ftv=*/false);
+  EngineUnderTest method_m =
+      MakeEngine(corpus, CacheModel::kCon, /*epoch=*/false, /*shards=*/1,
+                 /*fragments=*/false, /*admission=*/false, /*ftv=*/false);
+  const Graph q1 = MakeStarGraph(0, {1, 2});
+  const Graph q2 = MakeStarGraph(1, {0, 2});
+  const Fragment edge = MakeFragment(0, {1});
+
+  const DynamicBitset csm = on.ds->LiveMask();
+  auto holders = [&](const Fragment& f) {
+    DynamicBitset out(csm.size());
+    for (const GraphId id : on.ds->LiveIds()) {
+      out.Set(id, StarEmbeds(f, on.ds->graph(id)));
+    }
+    return out;
+  };
+  const DynamicBitset full = holders(MakeFragment(0, {1, 2}));
+  const DynamicBitset center1 = holders(MakeFragment(1, {0, 2}));
+  // The scenario discriminates only if q1's star splits CS_M and the
+  // graphs q2's star keeps straddle the covered and the uncovered part.
+  ASSERT_TRUE(full.Any());
+  ASSERT_LT(full.Count(), csm.Count());
+  ASSERT_TRUE(full.Intersects(center1));
+  ASSERT_TRUE(DynamicBitset::AndNot(center1, full).Any());
+
+  const QueryResult r1 = on.gc->Query(q1, QueryKind::kSubgraph);
+  EXPECT_EQ(r1.answer, method_m.gc->Query(q1, QueryKind::kSubgraph).answer);
+  on.gc->FlushMaintenance();
+  const std::vector<CachedQuery> after_q1 =
+      on.gc->cache_shards().ExportFragments();
+  const CachedQuery* partial = FindFragment(after_q1, edge.digest);
+  ASSERT_NE(partial, nullptr);
+  EXPECT_EQ(partial->valid, full);
+  EXPECT_EQ(DynamicBitset::And(partial->answer, partial->valid), full);
+
+  const QueryResult r2 = on.gc->Query(q2, QueryKind::kSubgraph);
+  EXPECT_EQ(r2.answer, method_m.gc->Query(q2, QueryKind::kSubgraph).answer);
+  EXPECT_EQ(r2.metrics.sub_hits + r2.metrics.super_hits, 0u);
+  EXPECT_EQ(r2.metrics.fragment_hits, 1u);
+  EXPECT_EQ(r2.metrics.fragment_computed, 3u);
+  // 1{0,2} on all of CS_M; the edge only on its survivors outside the
+  // resident's valid set; 1{2} on the survivors (every graph holding
+  // 1{0,2} holds both edges, so only the first star prunes).
+  const DynamicBitset topped_up = DynamicBitset::AndNot(center1, full);
+  EXPECT_EQ(r2.metrics.fragment_star_checks,
+            csm.Count() + topped_up.Count() + center1.Count());
+  EXPECT_EQ(r2.metrics.fragment_candidates_pruned,
+            csm.Count() - center1.Count());
+
+  on.gc->FlushMaintenance();
+  const std::vector<CachedQuery> after_q2 =
+      on.gc->cache_shards().ExportFragments();
+  const CachedQuery* merged = FindFragment(after_q2, edge.digest);
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->valid, DynamicBitset::Or(full, topped_up));
+  EXPECT_EQ(DynamicBitset::And(merged->answer, merged->valid),
+            merged->valid);
 }
 
 TEST(FragmentEquivalenceTest, ConLockSingleShard) {

@@ -16,6 +16,7 @@ QueryMetrics SampleMetrics() {
   m.answer_size = 12;
   m.sub_hits = 2;
   m.super_hits = 1;
+  m.fragment_star_checks = 17;
   m.t_validate_ns = 1000;
   m.t_probe_ns = 2000;
   m.t_prune_ns = 500;
@@ -49,6 +50,7 @@ TEST(AggregateMetricsTest, AddAccumulates) {
   EXPECT_EQ(a.tests_saved_super, 50u);
   EXPECT_EQ(a.sub_hits, 4u);
   EXPECT_EQ(a.super_hits, 2u);
+  EXPECT_EQ(a.fragment_star_checks, 34u);
   EXPECT_DOUBLE_EQ(a.AvgSiTests(), 40.0);
   EXPECT_NEAR(a.AvgQueryTimeMs(), 0.1035, 1e-9);
   EXPECT_NEAR(a.AvgOverheadMs(), 0.003, 1e-9);
@@ -91,6 +93,7 @@ TEST(AggregateMetricsTest, ToStringMentionsKeyCounters) {
   const std::string s = a.ToString();
   EXPECT_NE(s.find("queries=1"), std::string::npos);
   EXPECT_NE(s.find("si_tests=40"), std::string::npos);
+  EXPECT_NE(s.find("fragment_star_checks=17"), std::string::npos);
 }
 
 }  // namespace

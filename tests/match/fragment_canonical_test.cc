@@ -7,12 +7,21 @@
 // out), and (b) non-isomorphic small stars never share both digest and
 // canonical graph (collision sanity — checked exhaustively against a
 // brute-force isomorphism oracle on the small-star universe).
+//
+// StarEmbeds, the search-free star check the engine runs on a fragment
+// miss, is held to VF2 containment exhaustively: every star up to 4
+// leaves over a 3-label alphabet, against every labelled graph up to 5
+// vertices (up to isomorphism), both freshly built and edited in place,
+// once with labels in distinct vertex-signature buckets and once with all
+// labels sharing one.
 
 #include "match/fragments.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -217,6 +226,163 @@ TEST(FragmentCanonicalTest, EveryFragmentEmbedsInItsQuery) {
     for (const Fragment& f : DecomposeToFragments(g, 16)) {
       EXPECT_TRUE(matcher->Contains(f.star, g));
     }
+  }
+}
+
+/// A 3-label alphabet. {0,1,2} puts every label in its own bucket of the
+/// vertex signature, so the signature prefilter alone decides; {0,16,32}
+/// puts all three in one bucket, so the neighbour-run counts decide.
+using Alphabet = std::array<Label, 3>;
+constexpr Alphabet kSplitBuckets = {0, 1, 2};
+constexpr Alphabet kSharedBucket = {0, 16, 32};
+
+/// Every star with its center and 1..4 leaves drawn (leaves with
+/// repetition, order-free) from `alpha`.
+std::vector<Fragment> SmallStarUniverse(const Alphabet& alpha) {
+  std::vector<Fragment> out;
+  std::vector<Label> leaves;
+  // Non-decreasing leaf sequences enumerate each multiset once.
+  auto extend = [&](auto&& self, std::size_t min_index) -> void {
+    if (!leaves.empty()) {
+      for (const Label center : alpha) {
+        out.push_back(MakeFragment(center, leaves));
+      }
+    }
+    if (leaves.size() == 4) return;
+    for (std::size_t i = min_index; i < alpha.size(); ++i) {
+      leaves.push_back(alpha[i]);
+      self(self, i);
+      leaves.pop_back();
+    }
+  };
+  extend(extend, 0);
+  return out;
+}
+
+/// Every labelling of n vertices over `alpha` up to vertex permutation:
+/// the non-decreasing label sequences, scattered over the ids through a
+/// fixed permutation so label order and id order disagree (the label-
+/// sorted CSR runs then differ from the id-sorted ones).
+std::vector<std::vector<Label>> SmallLabellings(std::size_t n,
+                                                const Alphabet& alpha) {
+  static constexpr VertexId kScatter[] = {2, 0, 4, 1, 3};
+  std::vector<VertexId> slots;
+  for (const VertexId v : kScatter) {
+    if (v < n) slots.push_back(v);
+  }
+  std::vector<std::vector<Label>> out;
+  std::vector<Label> sorted;
+  auto extend = [&](auto&& self, std::size_t min_index) -> void {
+    if (sorted.size() == n) {
+      std::vector<Label> labels(n);
+      for (std::size_t i = 0; i < n; ++i) labels[slots[i]] = sorted[i];
+      out.push_back(std::move(labels));
+      return;
+    }
+    for (std::size_t i = min_index; i < alpha.size(); ++i) {
+      sorted.push_back(alpha[i]);
+      self(self, i);
+      sorted.pop_back();
+    }
+  };
+  extend(extend, 0);
+  return out;
+}
+
+std::vector<std::pair<VertexId, VertexId>> AllPairs(std::size_t n) {
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) pairs.emplace_back(u, v);
+  }
+  return pairs;
+}
+
+/// Asserts StarEmbeds agrees with VF2 containment for every star on `g`;
+/// `oracle_target` is the graph VF2 runs on (a fresh build of g's edges
+/// when g was edited in place, so the oracle shares no derived state).
+void ExpectStarsAgree(const std::vector<Fragment>& stars, const Graph& g,
+                      const Graph& oracle_target,
+                      const SubgraphMatcher& oracle) {
+  for (const Fragment& f : stars) {
+    ASSERT_EQ(StarEmbeds(f, g), oracle.Contains(f.star, oracle_target))
+        << "star " << f.star.ToString() << " target " << g.ToString();
+  }
+}
+
+/// StarEmbeds vs VF2 for every star over `alpha` on every labelled graph
+/// of 1..5 vertices over `alpha`, up to isomorphism, each freshly built.
+void CheckEverySmallTarget(const Alphabet& alpha) {
+  const std::vector<Fragment> stars = SmallStarUniverse(alpha);
+  ASSERT_EQ(stars.size(), 3u * (3 + 6 + 10 + 15));
+  const auto oracle = MakeMatcher(MatcherKind::kVf2);
+  std::size_t targets = 0;
+  for (std::size_t n = 1; n <= 5; ++n) {
+    const auto pairs = AllPairs(n);
+    for (const std::vector<Label>& labels : SmallLabellings(n, alpha)) {
+      for (std::uint32_t mask = 0; mask < (1u << pairs.size()); ++mask) {
+        std::vector<std::pair<VertexId, VertexId>> edges;
+        for (std::size_t e = 0; e < pairs.size(); ++e) {
+          if ((mask >> e) & 1u) edges.push_back(pairs[e]);
+        }
+        const Graph g = Graph::Create(labels, edges).value();
+        ExpectStarsAgree(stars, g, g, *oracle);
+        if (::testing::Test::HasFatalFailure()) return;
+        ++targets;
+      }
+    }
+  }
+  // 3 + 6*2 + 10*8 + 15*64 + 21*1024 labelled graphs.
+  EXPECT_EQ(targets, 22559u);
+}
+
+/// The same check on targets reached only by in-place edits: a Gray-code
+/// walk over every edge set of 5 vertices flips one edge per step with
+/// AddEdge/RemoveEdge, so the label-sorted CSR runs StarEmbeds reads are
+/// always the mutated ones, never a fresh build.
+void CheckInPlaceEdits(const Alphabet& alpha) {
+  const std::vector<Fragment> stars = SmallStarUniverse(alpha);
+  const auto oracle = MakeMatcher(MatcherKind::kVf2);
+  const auto pairs = AllPairs(5);
+  for (const std::vector<Label>& labels : SmallLabellings(5, alpha)) {
+    Graph g = Graph::Create(labels, {}).value();
+    for (std::uint32_t step = 1; step < (1u << pairs.size()); ++step) {
+      const auto [u, v] = pairs[std::countr_zero(step)];
+      if (g.HasEdge(u, v)) {
+        ASSERT_TRUE(g.RemoveEdge(u, v).ok());
+      } else {
+        ASSERT_TRUE(g.AddEdge(u, v).ok());
+      }
+      const Graph fresh = Graph::Create(labels, g.Edges()).value();
+      ExpectStarsAgree(stars, g, fresh, *oracle);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(FragmentCanonicalTest, MakeFragmentRunLengthLeaves) {
+  const Fragment f = MakeFragment(5, {3, 1, 2, 1});
+  EXPECT_EQ(f.star.label(0), 5u);
+  EXPECT_EQ(f.leaves, (LabelHistogram{{1, 2}, {2, 1}, {3, 1}}));
+  EXPECT_EQ(f.digest, WlDigest(MakeStarGraph(5, {1, 1, 2, 3})));
+  // Single-edge normalization carries over to the center and leaves.
+  const Fragment edge = MakeFragment(4, {1});
+  EXPECT_EQ(edge.star.label(0), 1u);
+  EXPECT_EQ(edge.leaves, (LabelHistogram{{4, 1}}));
+}
+
+TEST(FragmentCanonicalTest, StarEmbedsMatchesVf2OnEverySmallTarget) {
+  for (const Alphabet& alpha : {kSplitBuckets, kSharedBucket}) {
+    SCOPED_TRACE(alpha[1]);
+    CheckEverySmallTarget(alpha);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(FragmentCanonicalTest, StarEmbedsMatchesVf2AfterInPlaceEdits) {
+  for (const Alphabet& alpha : {kSplitBuckets, kSharedBucket}) {
+    SCOPED_TRACE(alpha[1]);
+    CheckInPlaceEdits(alpha);
+    if (HasFatalFailure()) return;
   }
 }
 
