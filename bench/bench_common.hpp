@@ -65,22 +65,12 @@ struct BenchConfig {
   bool maintenance_thread = false;
   /// Epoch-protected read path (--epoch; off = the PR 4 lock path).
   bool epoch = false;
-  /// Run the legacy hot path (per-pair match state + brute-force
-  /// discovery scan) instead of the optimized one (--legacy).
-  bool legacy_hot_path = false;
-  /// Deep-copy discovery survivors under the shard lock instead of
-  /// sharing ownership (--copy-survivors; the pre-PR 6 oracle path).
-  bool copy_survivors = false;
-  /// Reconcile through the change-relevance index
-  /// (--relevance-index=false = the brute-force ValidateAll oracle, the
-  /// "before" side of bench_reconciliation).
-  bool relevance_index = true;
   /// CON-only delta re-validation at reconcile time
   /// (--delta-revalidation; default off = Algorithm 2 fade-only).
   bool delta_revalidation = false;
-  /// Sub-pattern fragment cache (--fragments=off = the fragment-free
-  /// oracle, bit-exact on answers, resident whole-query state and
-  /// replacement decisions — the "before" side of bench_fragments).
+  /// Sub-pattern fragment cache (--fragments=off = fragment capacity 0,
+  /// bit-exact on answers, resident whole-query state and replacement
+  /// decisions — the "before" side of bench_fragments).
   bool fragments = true;
   /// SIMD dispatch cap (--simd=off|scalar|popcnt|avx2|auto; empty/auto =
   /// use whatever the CPU supports). "off"/"scalar" is the bit-exact
@@ -160,9 +150,6 @@ struct BenchConfig {
     c.maintenance_thread =
         flags.GetBool("maintenance-thread", c.maintenance_thread);
     c.epoch = flags.GetBool("epoch", c.epoch);
-    c.legacy_hot_path = flags.GetBool("legacy", c.legacy_hot_path);
-    c.copy_survivors = flags.GetBool("copy-survivors", c.copy_survivors);
-    c.relevance_index = flags.GetBool("relevance-index", c.relevance_index);
     c.delta_revalidation =
         flags.GetBool("delta-revalidation", c.delta_revalidation);
     c.fragments = flags.GetBool("fragments", c.fragments);
@@ -253,9 +240,6 @@ inline RunnerConfig MakeRunnerConfig(RunMode mode, MatcherKind method,
   rc.epoch_reads = cfg.epoch;
   rc.max_sub_hits = cfg.max_sub_hits;
   rc.max_super_hits = cfg.max_super_hits;
-  rc.legacy_hot_path = cfg.legacy_hot_path;
-  rc.copy_discovery_survivors = cfg.copy_survivors;
-  rc.relevance_index = cfg.relevance_index;
   rc.delta_revalidation = cfg.delta_revalidation;
   rc.fragments = cfg.fragments;
   rc.checkpoint_dir = cfg.checkpoint_dir;
@@ -268,8 +252,7 @@ inline RunnerConfig MakeRunnerConfig(RunMode mode, MatcherKind method,
 
 /// Engine options for benches that construct GraphCachePlus directly
 /// (bypassing the workload runner). One place maps BenchConfig knobs —
-/// including every oracle toggle (--legacy, --relevance-index,
-/// --delta-revalidation, --fragments, --copy-survivors) — onto
+/// including --delta-revalidation and --fragments — onto
 /// GraphCachePlusOptions, so a new flag lands once instead of once per
 /// bench. Callers override the handful of fields their experiment pins
 /// (model, epoch_reads, checkpoint knobs, ...) after the call.
@@ -283,14 +266,10 @@ inline GraphCachePlusOptions MakeEngineOptions(CacheModel model,
   opts.num_shards = std::max<std::size_t>(1, cfg.shards);
   opts.maintenance_thread = cfg.maintenance_thread;
   opts.epoch_reads = cfg.epoch;
-  opts.copy_discovery_survivors = cfg.copy_survivors;
   opts.max_sub_hits = cfg.max_sub_hits;
   opts.max_super_hits = cfg.max_super_hits;
-  opts.use_relevance_index = cfg.relevance_index;
-  opts.use_fragment_cache = cfg.fragments;
+  if (!cfg.fragments) opts.fragment_capacity = 0;
   opts.delta_revalidation = cfg.delta_revalidation;
-  opts.reuse_match_context = !cfg.legacy_hot_path;
-  opts.use_discovery_index = !cfg.legacy_hot_path;
   opts.checkpoint_dir = cfg.checkpoint_dir;
   opts.checkpoint_interval_us = cfg.checkpoint_interval_us;
   opts.byte_budget = cfg.byte_budget;

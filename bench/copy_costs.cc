@@ -1,20 +1,15 @@
 // BENCH_06: the carried-over copy costs, before/after in one run.
 //
-// "Before" replays the pre-PR 6 allocation behaviour on today's engine:
-// every hit-discovery survivor deep-copies its cached query graph (and
-// bitsets) under the shard lock, matcher scratch comes off the plain
-// heap, and every bitset/signature kernel runs the scalar loop. "After"
-// is the shipped configuration: survivors share ownership of the
-// resident graph (shared_ptr + epoch grace periods), per-thread arenas
-// back the matcher scratch, and the kernels dispatch to the widest SIMD
-// level the CPU offers. Both sides run the same workloads over the same
-// evolving dataset in the same process, so the delta is the copy costs
-// and nothing else — answers are bit-identical by construction (the
-// equivalence suite asserts it).
-//
-// The run fails (exit 1) if the shared-ownership side reports a nonzero
-// StatisticsManager::shard_lock_graph_copies — the counter the tier-1
-// suite also pins to zero.
+// "Before" takes matcher scratch off the plain heap and runs every
+// bitset/signature kernel as the scalar loop. "After" is the shipped
+// configuration: per-thread arenas back the matcher scratch and the
+// kernels dispatch to the widest SIMD level the CPU offers. Both sides
+// run the same workloads over the same evolving dataset in the same
+// process, so the delta is the scratch and kernel costs and nothing else
+// — answers are bit-identical by construction (the equivalence suite
+// asserts it). Discovery survivors share ownership of the resident graph
+// on both sides; the deep-copy mode the committed BENCH_06.json "before"
+// rows measured no longer exists.
 //
 // A second section microbenchmarks the dispatched kernels against their
 // scalar oracles at every level the CPU supports.
@@ -48,7 +43,6 @@ double NsPerOp(const std::function<void()>& op, int iters) {
 
 struct ModeToggles {
   const char* path;       // "before" / "after"
-  bool copy_survivors;
   bool arena;
   simd::SimdLevel level;
 };
@@ -72,23 +66,19 @@ int main(int argc, char** argv) {
 
   const simd::SimdLevel detected = simd::DetectedSimdLevel();
   const ModeToggles modes[] = {
-      {"before", true, false, simd::SimdLevel::kScalar},
-      {"after", false, true, detected},
+      {"before", false, simd::SimdLevel::kScalar},
+      {"after", true, detected},
   };
 
-  int failures = 0;
-  std::printf("\n%-10s %-8s %-6s %12s %12s %12s %10s %10s\n", "workload",
-              "path", "sys", "tests/q", "avg q ms", "probe ms", "sum cp",
-              "graph cp");
+  std::printf("\n%-10s %-8s %-6s %12s %12s %12s %10s\n", "workload", "path",
+              "sys", "tests/q", "avg q ms", "probe ms", "sum cp");
   for (const std::string& wname : workloads) {
     const Workload w = BuildWorkload(wname, corpus, cfg);
     for (const ModeToggles& mode : modes) {
       SetArenaEnabled(mode.arena);
       simd::SetSimdLevel(mode.level);
-      BenchConfig mode_cfg = cfg;
-      mode_cfg.copy_survivors = mode.copy_survivors;
       for (const RunMode sys : {RunMode::kEvi, RunMode::kCon}) {
-        RunnerConfig rc = MakeRunnerConfig(sys, method, mode_cfg);
+        RunnerConfig rc = MakeRunnerConfig(sys, method, cfg);
         // The counters the tentpole moves are epoch-engine counters; run
         // both sides on the epoch read path with the FTV index equipped
         // so summary-clone accounting is live.
@@ -96,21 +86,12 @@ int main(int argc, char** argv) {
         rc.use_ftv = true;
         const RunReport r = RunWorkload(corpus, w, plan, rc);
         const auto sum_cp = r.cache_stats.snapshot_summary_copies;
-        const auto graph_cp = r.cache_stats.shard_lock_graph_copies;
-        std::printf("%-10s %-8s %-6s %12.1f %12.5f %12.5f %10llu %10llu\n",
+        std::printf("%-10s %-8s %-6s %12.1f %12.5f %12.5f %10llu\n",
                     wname.c_str(), mode.path,
                     std::string(RunModeName(sys)).c_str(), r.avg_si_tests(),
                     r.avg_query_ms(), AvgProbeMs(r),
-                    static_cast<unsigned long long>(sum_cp),
-                    static_cast<unsigned long long>(graph_cp));
+                    static_cast<unsigned long long>(sum_cp));
         std::fflush(stdout);
-        if (!mode.copy_survivors && graph_cp != 0) {
-          std::fprintf(stderr,
-                       "FAIL: shared-ownership run reported %llu "
-                       "shard-lock graph copies (want 0)\n",
-                       static_cast<unsigned long long>(graph_cp));
-          ++failures;
-        }
         if (json != nullptr) {
           char buf[512];
           std::snprintf(
@@ -121,14 +102,12 @@ int main(int argc, char** argv) {
               "\"avg_probe_ms\": %.5f, "
               "\"verify_throughput_tests_per_sec\": %.1f, "
               "\"snapshot_summary_copies\": %llu, "
-              "\"shard_lock_graph_copies\": %llu, "
               "\"simd\": \"%s\", \"arena\": %s",
               wname.c_str(), mode.path,
               std::string(RunModeName(sys)).c_str(), r.avg_si_tests(),
               r.avg_query_ms(), AvgProbeMs(r),
               VerifyThroughputTestsPerSec(r),
               static_cast<unsigned long long>(sum_cp),
-              static_cast<unsigned long long>(graph_cp),
               simd::SimdLevelName(mode.level),
               mode.arena ? "true" : "false");
           json->Row(buf);
@@ -200,10 +179,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\n# Expected shape: identical tests/q per (workload, system) across\n"
-      "# before/after (the copies never changed answers — that's the bug:\n"
-      "# pure overhead). avg q ms and probe ms drop on the after side;\n"
-      "# shard_lock_graph_copies is nonzero before, exactly zero after;\n"
-      "# snapshot_summary_copies matches the FTV-mutating batch count on\n"
-      "# both sides. Kernel rows: higher levels must not be slower.\n");
-  return failures == 0 ? 0 : 1;
+      "# before/after (heap scratch and scalar kernels never change\n"
+      "# answers, only cost). snapshot_summary_copies matches the\n"
+      "# FTV-mutating batch count on both sides. Kernel rows: higher levels\n"
+      "# must not be slower.\n");
+  return 0;
 }

@@ -1,13 +1,13 @@
-// BENCH_07: reconciliation through the change-relevance index,
-// before/after in one run.
+// BENCH_07: reconciliation through the change-relevance index.
 //
-// "Before" reconciles every change batch brute-force: Algorithm 2 walks
-// every resident entry of every shard (ValidateAll), even when the batch
-// touched a handful of dataset graphs. "After" routes the batch through
-// the change-relevance index: only entries whose CGvalid footprint
-// intersects the batch run the counter loop, everything else keeps its
-// bits untouched by construction. A third CON row adds delta
-// re-validation (per-pair keep/re-verify instead of fade-only clears).
+// The engine routes every change batch through the change-relevance
+// index: only entries whose CGvalid footprint intersects the batch run
+// Algorithm 2's counter loop, everything else keeps its bits untouched
+// by construction. Each (churn, system) group reports the indexed
+// reconcile ("indexed") and, for CON, delta re-validation on top
+// ("indexed+delta": per-pair keep/re-verify instead of fade-only
+// clears). An "uncached" row per churn pattern runs the same steps with
+// admission off — plain Method M, the answer oracle.
 //
 // The bench drives the engine directly (not through RunWorkload) so the
 // churn's *locality* is controlled: "localized" batches aim their edge
@@ -18,10 +18,10 @@
 // inside ApplyDatasetChanges, so wall-clocking the mutation calls times
 // reconciliation itself.
 //
-// The run fails (exit 1) if any path's per-step answers diverge from the
-// brute-force oracle's (the equivalence suite pins this too), or if the
-// localized CON "after" row does not touch strictly fewer entries than
-// "before". Wall-clock deltas are reported, not gated.
+// The run fails (exit 1) if any row's per-step answers diverge from the
+// uncached oracle's (the equivalence suite pins this too), or if the
+// localized CON "indexed" row skips no entry. Wall-clock times are
+// reported, not gated.
 
 #include <chrono>
 #include <cstdio>
@@ -38,8 +38,8 @@ using namespace gcp::bench;
 namespace {
 
 struct PathToggles {
-  const char* path;  // "before" / "after" / "after+delta"
-  bool relevance;
+  const char* path;  // "uncached" / "indexed" / "indexed+delta"
+  bool admission;
   bool delta;
 };
 
@@ -112,7 +112,7 @@ RowResult RunRow(const std::vector<Graph>& corpus, const Workload& w,
   GraphCachePlusOptions opts = MakeEngineOptions(model, cfg);
   opts.epoch_reads = true;  // reconcile inside ApplyDatasetChanges
   opts.use_ftv_index = true;
-  opts.use_relevance_index = path.relevance;
+  opts.enable_admission = path.admission;
   opts.delta_revalidation = path.delta;
   GraphCachePlus gc(&ds, opts);
 
@@ -167,7 +167,7 @@ RowResult RunRow(const std::vector<Graph>& corpus, const Workload& w,
 int main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
   const BenchConfig cfg = BenchConfig::FromFlags(flags);
-  PrintConfig(cfg, "BENCH 07: relevance-indexed reconciliation, before/after");
+  PrintConfig(cfg, "BENCH 07: relevance-indexed reconciliation");
   ApplyProcessToggles(cfg);
 
   const std::vector<Graph> corpus = BuildCorpus(cfg);
@@ -178,42 +178,44 @@ int main(int argc, char** argv) {
     json = std::make_unique<JsonWriter>(cfg.json_path, "reconciliation", cfg);
   }
 
-  const PathToggles kBefore{"before", false, false};
-  const PathToggles kAfter{"after", true, false};
-  const PathToggles kAfterDelta{"after+delta", true, true};
+  const PathToggles kUncached{"uncached", false, false};
+  const PathToggles kIndexed{"indexed", true, false};
+  const PathToggles kIndexedDelta{"indexed+delta", true, true};
 
   int failures = 0;
-  std::printf("\n%-10s %-12s %-4s %10s %10s %8s %8s %13s %11s\n", "churn",
+  std::printf("\n%-10s %-14s %-4s %10s %10s %8s %8s %13s %11s\n", "churn",
               "path", "sys", "touched", "skipped", "dkeep", "dfull",
               "reconcile ms", "avg q ms");
   for (const bool localized : {true, false}) {
     const char* churn = localized ? "localized" : "uniform";
+    // Answers do not depend on the model once nothing is cached.
+    const RowResult oracle =
+        RunRow(corpus, w, cfg, CacheModel::kEvi, kUncached, localized);
     for (const CacheModel model : {CacheModel::kCon, CacheModel::kEvi}) {
       const char* sys = model == CacheModel::kCon ? "CON" : "EVI";
       std::vector<std::pair<PathToggles, RowResult>> rows;
-      rows.emplace_back(kBefore,
-                        RunRow(corpus, w, cfg, model, kBefore, localized));
-      rows.emplace_back(kAfter,
-                        RunRow(corpus, w, cfg, model, kAfter, localized));
+      if (model == CacheModel::kCon) rows.emplace_back(kUncached, oracle);
+      rows.emplace_back(kIndexed,
+                        RunRow(corpus, w, cfg, model, kIndexed, localized));
       if (model == CacheModel::kCon) {
-        rows.emplace_back(
-            kAfterDelta, RunRow(corpus, w, cfg, model, kAfterDelta, localized));
+        rows.emplace_back(kIndexedDelta, RunRow(corpus, w, cfg, model,
+                                                kIndexedDelta, localized));
       }
-      const RowResult& before = rows.front().second;
       for (const auto& [path, r] : rows) {
-        std::printf("%-10s %-12s %-4s %10llu %10llu %8llu %8llu %13.3f "
+        const char* row_sys = path.admission ? sys : "M";
+        std::printf("%-10s %-14s %-4s %10llu %10llu %8llu %8llu %13.3f "
                     "%11.5f\n",
-                    churn, path.path, sys,
+                    churn, path.path, row_sys,
                     static_cast<unsigned long long>(r.touched),
                     static_cast<unsigned long long>(r.skipped),
                     static_cast<unsigned long long>(r.delta_keeps),
                     static_cast<unsigned long long>(r.delta_fallbacks),
                     r.reconcile_ms, r.avg_query_ms);
         std::fflush(stdout);
-        if (r.answers_digest != before.answers_digest) {
+        if (r.answers_digest != oracle.answers_digest) {
           std::fprintf(stderr,
-                       "FAIL: %s/%s/%s answers diverged from the "
-                       "brute-force oracle\n",
+                       "FAIL: %s/%s/%s answers diverged from uncached "
+                       "Method M\n",
                        churn, path.path, sys);
           ++failures;
         }
@@ -228,7 +230,7 @@ int main(int argc, char** argv) {
               "\"delta_fallback_full_checks\": %llu, "
               "\"reconcile_ms\": %.3f, \"avg_query_ms\": %.5f, "
               "\"resident\": %zu, \"answers_digest\": %llu",
-              churn, path.path, sys,
+              churn, path.path, row_sys,
               static_cast<unsigned long long>(r.touched),
               static_cast<unsigned long long>(r.skipped),
               static_cast<unsigned long long>(r.delta_keeps),
@@ -238,16 +240,14 @@ int main(int argc, char** argv) {
           json->Row(buf);
         }
       }
-      // The localized CON "after" row must actually skip work.
+      // The localized CON "indexed" row must actually skip work.
       if (localized && model == CacheModel::kCon) {
-        const RowResult& after = rows[1].second;
-        if (after.touched >= before.touched || after.skipped == 0) {
+        const RowResult& indexed = rows[1].second;
+        if (indexed.skipped == 0) {
           std::fprintf(stderr,
-                       "FAIL: localized CON after touched %llu (before "
-                       "%llu), skipped %llu — the index screened nothing\n",
-                       static_cast<unsigned long long>(after.touched),
-                       static_cast<unsigned long long>(before.touched),
-                       static_cast<unsigned long long>(after.skipped));
+                       "FAIL: localized CON indexed touched %llu, skipped 0 "
+                       "— the index screened nothing\n",
+                       static_cast<unsigned long long>(indexed.touched));
           ++failures;
         }
       }
@@ -255,14 +255,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\n# Expected shape: identical answers on every row of a (churn, sys)\n"
-      "# group — the index and the delta hook never change results. On\n"
-      "# localized churn, CON after touches a small fraction of what\n"
-      "# before touches (skipped >> touched) and reconcile ms drops; on\n"
-      "# uniform churn the footprints intersect almost every batch, so\n"
-      "# touched stays near before — reported honestly, not gated. EVI\n"
-      "# purges are indiscriminate by definition: touched is identical\n"
-      "# across paths. after+delta trades reconcile-time containment\n"
+      "\n# Expected shape: identical answers on every row of a churn group\n"
+      "# — the index and the delta hook never change results. On\n"
+      "# localized churn, CON indexed skips every entry the batch cannot\n"
+      "# affect (skipped > 0, gated); on uniform churn the footprints\n"
+      "# intersect almost every batch, so skipped stays near 0 — reported\n"
+      "# honestly, not gated. EVI purges are indiscriminate by definition\n"
+      "# (skipped 0). indexed+delta trades reconcile-time containment\n"
       "# checks (dfull) + pair-screen keeps (dkeep) for warmer caches.\n");
   return failures == 0 ? 0 : 1;
 }

@@ -19,10 +19,10 @@
 // three integer comparisons plus one mask test (a sound superset of the
 // dominance candidates), and verifies survivors with the full
 // CouldBeSubgraphOf dominance check — cost proportional to the
-// candidates, not to the resident population. The legacy O(resident)
-// scans remain available (*Scan) as the reference implementation for
-// equivalence tests and before/after benchmarks; both paths return
-// identical candidate sets.
+// candidates, not to the resident population. The brute-force
+// O(resident) scans (*Scan) remain as the reference implementation for
+// equivalence tests and the micro-benchmark "before" side; both return
+// identical candidate sets. The engine always uses the index.
 
 #ifndef GCP_CACHE_QUERY_INDEX_HPP_
 #define GCP_CACHE_QUERY_INDEX_HPP_

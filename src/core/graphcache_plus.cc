@@ -20,6 +20,14 @@ namespace gcp {
 
 namespace {
 
+/// Matcher for GC+-internal query-vs-cached-query containment checks
+/// (query graphs are small; VF2+ prunes them well).
+constexpr MatcherKind kInternalMatcher = MatcherKind::kVf2Plus;
+
+/// Cap on star fragments decomposed per query (largest stars first; the
+/// decomposition order is permutation-invariant).
+constexpr std::size_t kMaxFragmentsPerQuery = 8;
+
 /// Engine-total store options (per-shard splitting happens inside
 /// ShardedCache). Named assignment on purpose: a positional brace init
 /// here silently misbinds when CacheManagerOptions grows a field.
@@ -29,9 +37,7 @@ CacheManagerOptions MakeStoreOptions(const GraphCachePlusOptions& o,
   c.cache_capacity = o.cache_capacity;
   c.window_capacity = o.window_capacity;
   c.policy = o.policy;
-  c.rng_seed = o.rng_seed;
-  c.maintain_relevance_index = o.use_relevance_index;
-  c.fragment_capacity = o.use_fragment_cache ? o.fragment_capacity : 0;
+  c.fragment_capacity = o.fragment_capacity;
   c.byte_budget = o.byte_budget;
   c.pressure = pressure;
   return c;
@@ -64,9 +70,8 @@ GraphCachePlus::GraphCachePlus(GraphDataset* dataset,
                 : nullptr),
       ftv_(options.use_ftv_index ? std::make_unique<FtvIndex>(*dataset)
                                  : nullptr),
-      method_m_(options.method_m, *dataset, pool_.get(),
-                options.reuse_match_context),
-      internal_matcher_(MakeMatcher(options.internal_matcher)),
+      method_m_(options.method_m, *dataset, pool_.get()),
+      internal_matcher_(MakeMatcher(kInternalMatcher)),
       discovery_(*internal_matcher_, options_),
       pressure_(options.byte_budget > 0
                     ? std::make_unique<PressureMonitor>(
@@ -128,7 +133,7 @@ void GraphCachePlus::SyncWithDatasetLocked(QueryMetrics* metrics) {
       }
     } else {
       // CON: Algorithm 1 over the incremental records, then Algorithm 2 —
-      // relevance-screened or brute-force — per shard (paper §5.2).
+      // relevance-screened, per shard (paper §5.2).
       const std::vector<ChangeRecord> records = log.ExtractSince(watermark_);
       const ChangeCounters counters = LogAnalyzer::Analyze(records);
       CacheValidator::DeltaRevalidateFn delta_fn;
@@ -148,7 +153,7 @@ void GraphCachePlus::SyncWithDatasetLocked(QueryMetrics* metrics) {
       }
       const std::size_t horizon = dataset_->IdHorizon();
       for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
-        ValidateShardStore(cache_.shard(s), counters, horizon, delta);
+        cache_.shard(s).ValidateRelevant(counters, horizon, delta);
       }
       if (options_.retrospective_budget > 0) {
         std::size_t budget = options_.retrospective_budget;
@@ -481,22 +486,12 @@ void GraphCachePlus::ReconcileShardLocked(std::size_t s,
           });
       delta = &delta_fn;
     }
-    ValidateShardStore(shard, counters, snap.id_horizon, delta);
+    shard.ValidateRelevant(counters, snap.id_horizon, delta);
     if (retro_budget != nullptr && *retro_budget > 0) {
       RetrospectiveRefreshShard(s, snap.live, retro_budget);
     }
   }
   shard.set_watermark(snap.watermark);
-}
-
-void GraphCachePlus::ValidateShardStore(
-    CacheManager& shard, const ChangeCounters& counters,
-    std::size_t id_horizon, const CacheValidator::DeltaRevalidateFn* delta) {
-  if (options_.use_relevance_index) {
-    shard.ValidateRelevant(counters, id_horizon, delta);
-  } else {
-    shard.ValidateAll(counters, id_horizon, delta);
-  }
 }
 
 CacheValidator::DeltaRevalidateFn GraphCachePlus::MakeDeltaRevalidator(
@@ -673,7 +668,6 @@ StatisticsManager GraphCachePlus::CacheStatsSnapshot() const {
   stats.read_phase_engine_lock_acquisitions =
       engine_lock_acquisitions_.load(std::memory_order_relaxed);
   stats.snapshot_summary_copies = ftv_ ? ftv_->summary_copies() : 0;
-  stats.shard_lock_graph_copies = discovery_.shard_lock_graph_copies();
   // Durability counters are engine-level (per-shard stores report 0 for
   // all but restored_entries, which AggregateStats already summed).
   stats.checkpoints_written =
@@ -1016,10 +1010,9 @@ void GraphCachePlus::ExecuteReadSlice(
   // candidates; supergraph queries have no such transfer. Gated with
   // admission: a pass-through engine must not learn fragments either.
   std::vector<Fragment> fragments;
-  if (options_.use_fragment_cache && options_.enable_admission &&
-      options_.fragment_capacity > 0 && kind == QueryKind::kSubgraph &&
-      !bypass_cache) {
-    fragments = DecomposeToFragments(g, options_.max_fragments_per_query);
+  if (options_.enable_admission && options_.fragment_capacity > 0 &&
+      kind == QueryKind::kSubgraph && !bypass_cache) {
+    fragments = DecomposeToFragments(g, kMaxFragmentsPerQuery);
   }
   std::vector<DynamicBitset> fragment_masks(fragments.size());
   std::vector<DynamicBitset> fragment_valid(fragments.size());

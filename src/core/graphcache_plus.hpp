@@ -436,7 +436,7 @@ class GraphCachePlus {
   /// Publishes the successor snapshot for the dataset's current state and
   /// reconciles every shard to it (per-shard exclusive locks, one at a
   /// time: drain pending batches at the shard's old watermark, then EVI
-  /// purge / CON ValidateAll + optional retrospective refresh, then
+  /// purge / CON ValidateRelevant + optional retrospective refresh, then
   /// advance the shard watermark). No-op when nothing changed. Requires
   /// mutation_mu_. `metrics` (nullable) receives validation/index time.
   void PublishAndReconcile(QueryMetrics* metrics);
@@ -467,14 +467,6 @@ class GraphCachePlus {
       const std::vector<ChangeRecord>& records,
       std::function<const Graph*(GraphId)> graph_of,
       std::function<const GraphFeatures*(GraphId)> summary_of) const;
-
-  /// CON-validates one shard's store against `counters`: through the
-  /// change-relevance index (options_.use_relevance_index) or the
-  /// brute-force ValidateAll oracle — bit-exact either way. Requires the
-  /// shard's exclusive lock.
-  void ValidateShardStore(CacheManager& shard, const ChangeCounters& counters,
-                          std::size_t id_horizon,
-                          const CacheValidator::DeltaRevalidateFn* delta);
 
   GraphDataset* dataset_;
   GraphCachePlusOptions options_;

@@ -8,9 +8,9 @@
 namespace gcp {
 
 MethodM::MethodM(MatcherKind kind, const GraphDataset& dataset,
-                 ThreadPool* pool, bool reuse_context)
+                 ThreadPool* pool)
     : kind_(kind), matcher_(MakeMatcher(kind)), dataset_(dataset),
-      pool_(pool), reuse_context_(reuse_context) {}
+      pool_(pool) {}
 
 namespace {
 
@@ -20,8 +20,7 @@ namespace {
 template <typename GraphOf>
 DynamicBitset VerifyWith(const SubgraphMatcher& matcher, const Graph& query,
                          QueryKind kind, const DynamicBitset& candidates,
-                         ThreadPool* pool, bool reuse_context,
-                         const LabelHistogram* hist,
+                         ThreadPool* pool, const LabelHistogram* hist,
                          std::uint64_t* tests_run, GraphOf&& graph_of) {
   DynamicBitset verified(candidates.size());
   const std::vector<std::size_t> ids = candidates.ToVector();
@@ -30,7 +29,7 @@ DynamicBitset VerifyWith(const SubgraphMatcher& matcher, const Graph& query,
   // prepare its reusable state once. Supergraph queries swap roles per
   // candidate — the pattern varies, so there is nothing to reuse.
   std::unique_ptr<PreparedPattern> prepared;
-  if (reuse_context && kind == QueryKind::kSubgraph && !ids.empty()) {
+  if (kind == QueryKind::kSubgraph && !ids.empty()) {
     prepared = matcher.Prepare(query, hist);
   }
 
@@ -39,11 +38,9 @@ DynamicBitset VerifyWith(const SubgraphMatcher& matcher, const Graph& query,
     // Subgraph query: pattern = query, target = dataset graph.
     // Supergraph query: roles swap (the dataset graph must embed in the
     // query).
-    if (kind == QueryKind::kSubgraph) {
-      return prepared != nullptr ? matcher.ContainsPrepared(*prepared, g)
-                                 : matcher.Contains(query, g);
-    }
-    return matcher.Contains(g, query);
+    return kind == QueryKind::kSubgraph
+               ? matcher.ContainsPrepared(*prepared, g)
+               : matcher.Contains(g, query);
   };
 
   if (pool == nullptr || ids.size() < 2) {
@@ -70,13 +67,12 @@ DynamicBitset MethodM::VerifyCandidates(const Graph& query, QueryKind kind,
                                         std::uint64_t* tests_run) const {
   LabelHistogram global_hist;
   const LabelHistogram* hist = nullptr;
-  if (reuse_context_ && kind == QueryKind::kSubgraph && candidates.Any()) {
+  if (kind == QueryKind::kSubgraph && candidates.Any()) {
     global_hist = dataset_.GlobalLabelHistogram();
     hist = &global_hist;
   }
   return VerifyWith(
-      *matcher_, query, kind, candidates, pool_, reuse_context_, hist,
-      tests_run,
+      *matcher_, query, kind, candidates, pool_, hist, tests_run,
       [this](GraphId id) -> const Graph& { return dataset_.graph(id); });
 }
 
@@ -85,7 +81,7 @@ DynamicBitset MethodM::VerifyCandidatesOn(const EngineSnapshot& snap,
                                           const DynamicBitset& candidates,
                                           std::uint64_t* tests_run) const {
   return VerifyWith(
-      *matcher_, query, kind, candidates, pool_, reuse_context_,
+      *matcher_, query, kind, candidates, pool_,
       &snap.global_label_histogram, tests_run,
       [&snap](GraphId id) -> const Graph& { return snap.graph(id); });
 }

@@ -33,7 +33,7 @@ std::unique_ptr<CachedQuery> MakeFragEntry(
 }
 
 TEST(FragmentStoreTest, ProbeFindsAdmittedStarAndRejectsMismatch) {
-  FragmentStore store(8, /*maintain_relevance_index=*/true);
+  FragmentStore store(8);
   StatisticsManager stats;
   auto entry = MakeFragEntry(1, {2, 3}, {0, 2}, {0, 1, 2});
   const std::uint64_t digest = entry->digest;
@@ -53,7 +53,7 @@ TEST(FragmentStoreTest, ProbeFindsAdmittedStarAndRejectsMismatch) {
 }
 
 TEST(FragmentStoreTest, MergeUnionsValidAndOverwritesCoveredAnswers) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   // Resident: valid {0,1}, answer {0}. Offer: valid {1,2,3}, answer {3}
   // (and claims bit 1 is a non-answer — fresher knowledge of bit 1).
@@ -77,7 +77,7 @@ TEST(FragmentStoreTest, MergeUnionsValidAndOverwritesCoveredAnswers) {
 }
 
 TEST(FragmentStoreTest, TrueDigestCollisionDropsOffer) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   auto first = MakeFragEntry(1, {2}, {0}, {0});
   const std::uint64_t digest = first->digest;
@@ -96,7 +96,7 @@ TEST(FragmentStoreTest, TrueDigestCollisionDropsOffer) {
 }
 
 TEST(FragmentStoreTest, CreditBumpsRecencyAndEvictionPicksColdest) {
-  FragmentStore store(2, true);
+  FragmentStore store(2);
   StatisticsManager stats;
   auto a = MakeFragEntry(1, {2}, {0}, {0});
   auto b = MakeFragEntry(3, {4}, {0}, {0});
@@ -126,8 +126,8 @@ TEST(FragmentStoreTest, ValidateRelevantMatchesValidateAll) {
   // Same content in two stores; a change batch touching graphs 2 (mixed
   // ops) and 5 (UA-only) must leave identical valid/answer bits whether
   // reconciled brute-force or through the relevance screen.
-  FragmentStore all(8, false);
-  FragmentStore relevant(8, true);
+  FragmentStore all(8);
+  FragmentStore relevant(8);
   StatisticsManager stats_all;
   StatisticsManager stats_rel;
   struct Spec {
@@ -179,7 +179,7 @@ TEST(FragmentStoreTest, ValidateRelevantMatchesValidateAll) {
 }
 
 TEST(FragmentStoreTest, PurgeForReconcileCountsAndClears) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   store.AdmitOrMerge(MakeFragEntry(1, {2}, {0}, {0}), 1, stats);
   store.AdmitOrMerge(MakeFragEntry(3, {4}, {1}, {1}), 2, stats);
@@ -190,7 +190,7 @@ TEST(FragmentStoreTest, PurgeForReconcileCountsAndClears) {
 }
 
 TEST(FragmentStoreTest, ExportRestoreRoundTripsAndRecomputesKeys) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   store.AdmitOrMerge(MakeFragEntry(1, {2, 3}, {0, 3}, {0, 1, 3}), 1, stats);
   store.AdmitOrMerge(MakeFragEntry(4, {5}, {2}, {2, 6}), 2, stats);
@@ -207,7 +207,7 @@ TEST(FragmentStoreTest, ExportRestoreRoundTripsAndRecomputesKeys) {
   const std::uint64_t true_digest = exported[0].digest;
   exported[0].digest = 0x1234;
 
-  FragmentStore fresh(8, true);
+  FragmentStore fresh(8);
   StatisticsManager fresh_stats;
   fresh.Restore(std::move(exported), fresh_stats);
   EXPECT_EQ(fresh.size(), 2u);
@@ -227,7 +227,7 @@ TEST(FragmentStoreTest, ExportRestoreRoundTripsAndRecomputesKeys) {
 }
 
 TEST(FragmentStoreTest, RestoreKeepsBestWhenOverCapacity) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   auto a = MakeFragEntry(1, {2}, {0}, {0});
   auto b = MakeFragEntry(3, {4}, {1}, {1});
@@ -239,7 +239,7 @@ TEST(FragmentStoreTest, RestoreKeepsBestWhenOverCapacity) {
   store.Credit(db, /*pruned=*/100, /*now=*/4, stats);
 
   std::vector<CachedQuery> exported = store.Export();
-  FragmentStore small(1, true);
+  FragmentStore small(1);
   StatisticsManager small_stats;
   small.Restore(std::move(exported), small_stats);
   EXPECT_EQ(small.size(), 1u);

@@ -14,8 +14,10 @@
 
 #include "../test_util.hpp"
 #include "cache/cache_manager.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "dataset/change_log.hpp"
+#include "match/fragments.hpp"
 
 namespace gcp {
 namespace {
@@ -210,18 +212,17 @@ TEST(RelevanceIndexTest, CollectAffectedAscendingAndDeduped) {
 // admit / evict / purge / restore, and ValidateRelevant is bit-exact
 // against the brute-force oracle on randomized batches.
 
-CacheManagerOptions ManagerOptions(bool maintain, std::size_t cache = 64,
+CacheManagerOptions ManagerOptions(std::size_t cache = 64,
                                    std::size_t window = 8) {
   CacheManagerOptions opts;
   opts.cache_capacity = cache;
   opts.window_capacity = window;
   opts.policy = ReplacementPolicy::kPin;
-  opts.maintain_relevance_index = maintain;
   return opts;
 }
 
 TEST(RelevanceIndexManagerTest, AdmitEvictPurgeRestoreKeepIndexInSync) {
-  CacheManager cm(ManagerOptions(true, /*cache=*/2, /*window=*/2));
+  CacheManager cm(ManagerOptions(/*cache=*/2, /*window=*/2));
   const std::size_t horizon = 8;
   auto admit = [&](Label tag, std::uint64_t now) {
     DynamicBitset answer(horizon);
@@ -248,7 +249,7 @@ TEST(RelevanceIndexManagerTest, AdmitEvictPurgeRestoreKeepIndexInSync) {
   EXPECT_EQ(cm.stats().reconcile_entries_touched, resident_before);
 
   // Restore re-registers entries under fresh ids.
-  CacheManager donor(ManagerOptions(true));
+  CacheManager donor(ManagerOptions());
   {
     DynamicBitset answer(horizon);
     answer.Set(1);
@@ -261,15 +262,6 @@ TEST(RelevanceIndexManagerTest, AdmitEvictPurgeRestoreKeepIndexInSync) {
   EXPECT_EQ(cm.relevance_index().size(), 1u);
 }
 
-TEST(RelevanceIndexManagerTest, OracleManagerKeepsIndexEmpty) {
-  CacheManager cm(ManagerOptions(false));
-  DynamicBitset answer(4);
-  DynamicBitset valid(4, true);
-  cm.Admit(MakePath({0, 0}), CachedQueryKind::kSubgraph, std::move(answer),
-           std::move(valid), 0, 1.0);
-  EXPECT_EQ(cm.relevance_index().size(), 0u);
-}
-
 std::string BitsetString(const DynamicBitset& bits) {
   std::string s(bits.size(), '0');
   for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -278,7 +270,8 @@ std::string BitsetString(const DynamicBitset& bits) {
   return s;
 }
 
-/// All resident (id, kind, valid, answer) tuples, ascending by id.
+/// All resident (id, kind, valid, answer) tuples, ascending by id, then
+/// every resident fragment's (digest, valid, answer).
 std::vector<std::string> StateOf(const CacheManager& cm) {
   std::vector<std::string> out;
   cm.ForEachEntry([&out](const CachedQuery& e) {
@@ -287,45 +280,120 @@ std::vector<std::string> StateOf(const CacheManager& cm) {
                   "|" + BitsetString(e.valid) + "|" + BitsetString(e.answer));
   });
   std::sort(out.begin(), out.end());
+  cm.fragments().ForEach([&out](const CachedQuery& e) {
+    out.push_back("frag|" + std::to_string(e.digest) + "|" +
+                  BitsetString(e.valid) + "|" + BitsetString(e.answer));
+  });
   return out;
 }
 
-TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
-  // Two stores built identically — one reconciles through the relevance
-  // index, the other brute-force. After every randomized batch all
-  // resident bitsets must be identical, and the accounting invariants
-  // must hold: touched + skipped == resident per event on the indexed
-  // store, skipped == 0 always on the oracle.
-  Rng rng(1234);
-  const std::size_t horizon = 300;  // several 64-id blocks
-  CacheManager indexed(ManagerOptions(true));
-  CacheManager oracle(ManagerOptions(false));
-  for (std::size_t n = 0; n < 40; ++n) {
-    const auto kind = (n % 3 == 0) ? CachedQueryKind::kSupergraph
-                                   : CachedQueryKind::kSubgraph;
-    DynamicBitset answer(horizon);
-    DynamicBitset valid(horizon);
-    // Valid bits confined to one random 64-id block per entry, so
-    // footprints are localized and the screen has something to skip
-    // (answer bits land anywhere — only valid∧answer matters).
-    const std::size_t lo = rng.UniformBelow(horizon / 64) * 64;
-    const std::size_t hi = std::min(horizon, lo + 64);
-    for (std::size_t i = 0; i < horizon; ++i) {
-      if (rng.UniformBelow(4) == 0) answer.Set(i);
-      if (i >= lo && i < hi && rng.UniformBelow(3) != 0) valid.Set(i);
+/// Deterministic stand-in for the engine's delta re-validation hook: a
+/// pure function of (entry digest, graph id) that keeps some pairs
+/// (pair-screen proof), rewrites the answer bit of others (fresh
+/// containment check) and lets the rest clear. Both stores get the same
+/// hook, so any divergence between them is the relevance screen's.
+CacheValidator::DeltaRevalidateFn DeterministicDeltaHook() {
+  return [](CachedQuery& e, GraphId id, StatisticsManager& stats) {
+    std::uint64_t h = e.digest;
+    HashCombine(h, id);
+    switch (h % 3) {
+      case 0:
+        ++stats.delta_revalidations;
+        return true;
+      case 1:
+        ++stats.delta_fallback_full_checks;
+        e.answer.Set(id, ((h >> 7) & 1) != 0);
+        return true;
+      default:
+        return false;
     }
-    const Label tag = static_cast<Label>(n);
-    indexed.Admit(MakePath({tag, tag}), kind, answer, valid, n, 1.0);
-    oracle.Admit(MakePath({tag, tag}), kind, std::move(answer),
-                 std::move(valid), n, 1.0);
+  };
+}
+
+/// Bitsets `horizon` wide: valid bits confined to one random 64-id block
+/// so footprints are localized and the relevance screen has something to
+/// skip; answer bits anywhere (only valid ∧ answer matters), at a density
+/// drawn per entry — none, sparse or all — so some footprints cover only
+/// one polarity and a stale one is observable.
+void RandomLocalizedBits(Rng& rng, std::size_t horizon, DynamicBitset* answer,
+                         DynamicBitset* valid) {
+  *answer = DynamicBitset(horizon);
+  *valid = DynamicBitset(horizon);
+  const std::size_t lo = rng.UniformBelow((horizon + 63) / 64) * 64;
+  const std::size_t hi = std::min(horizon, lo + 64);
+  const std::uint64_t density = rng.UniformBelow(3);  // 0: none, 2: all
+  for (std::size_t i = 0; i < horizon; ++i) {
+    if (density == 2 || (density == 1 && rng.UniformBelow(4) == 0)) {
+      answer->Set(i);
+    }
+    if (i >= lo && i < hi && rng.UniformBelow(3) != 0) valid->Set(i);
   }
+}
+
+TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
+  // Two stores built identically, both maintaining the relevance index —
+  // one reconciles through it, the other brute-force (ValidateAll). Both
+  // hold whole-query entries and resident fragments, both get the same
+  // deterministic delta re-validation hook, and some rounds grow the id
+  // horizon past a 64-id block (new graphs, new admissions valid there).
+  // After every randomized batch all resident bitsets must be identical,
+  // and the accounting invariants must hold per event: touched + skipped
+  // == resident on the indexed store (entries and fragments alike),
+  // skipped == 0 on the oracle.
+  Rng rng(1234);
+  std::size_t horizon = 300;  // several 64-id blocks
+  CacheManager indexed(ManagerOptions());
+  CacheManager oracle(ManagerOptions());
+  std::size_t admitted = 0;
+  auto admit_both = [&](std::uint64_t now) {
+    const auto kind = (admitted % 3 == 0) ? CachedQueryKind::kSupergraph
+                                          : CachedQueryKind::kSubgraph;
+    DynamicBitset answer;
+    DynamicBitset valid;
+    RandomLocalizedBits(rng, horizon, &answer, &valid);
+    const Label tag = static_cast<Label>(admitted++);
+    indexed.Admit(MakePath({tag, tag}), kind, answer, valid, now, 1.0);
+    oracle.Admit(MakePath({tag, tag}), kind, std::move(answer),
+                 std::move(valid), now, 1.0);
+  };
+  auto offer_fragment_both = [&](Label center, std::uint64_t now) {
+    DynamicBitset answer;
+    DynamicBitset valid;
+    RandomLocalizedBits(rng, horizon, &answer, &valid);
+    const std::vector<Label> leaves = {static_cast<Label>(center % 5),
+                                       static_cast<Label>(center % 7)};
+    for (CacheManager* cm : {&indexed, &oracle}) {
+      ASSERT_TRUE(cm->fragments()
+                      .AdmitOrMerge(CacheManager::PrepareEntry(
+                                        std::make_shared<const Graph>(
+                                            MakeStarGraph(center, leaves)),
+                                        CachedQueryKind::kSubgraph, answer,
+                                        valid, 1.0),
+                                    now, cm->stats())
+                      .ok());
+    }
+  };
+  for (std::size_t n = 0; n < 40; ++n) admit_both(n);
+  for (Label c = 0; c < 12; ++c) offer_fragment_both(100 + c, 40);
+  ASSERT_EQ(indexed.fragments().size(), 12u);
   ASSERT_EQ(StateOf(indexed), StateOf(oracle));
 
-  std::uint64_t events = 0;
-  for (std::size_t round = 0; round < 50; ++round) {
-    // Localized batch: a handful of ops inside one random 64-id block,
-    // plus occasionally a far-away op, mixing all four op types.
+  const CacheValidator::DeltaRevalidateFn delta = DeterministicDeltaHook();
+  std::size_t horizon_growths = 0;
+  for (std::size_t round = 0; round < 160; ++round) {
     ChangeLog log;
+    if (round % 8 == 5) {
+      // Grow past a whole block: the new graphs arrive as kAdd ops, then
+      // an admission and a fragment offer become valid in the new range.
+      const std::size_t grown = horizon + 65 + rng.UniformBelow(40);
+      for (std::size_t id = horizon; id < grown; id += 9) {
+        log.Append(ChangeType::kAdd, static_cast<GraphId>(id));
+      }
+      horizon = grown;
+      ++horizon_growths;
+    }
+    // Localized batch: a handful of ops inside one random 64-id block,
+    // mixing all four op types.
     const GraphId base =
         static_cast<GraphId>(rng.UniformBelow(horizon / 64) * 64);
     const std::size_t ops = 1 + rng.UniformBelow(5);
@@ -347,26 +415,48 @@ TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
       }
     }
     const ChangeCounters counters = LogAnalyzer::Analyze(log.ExtractSince(0));
-    indexed.ValidateRelevant(counters, horizon);
-    oracle.ValidateAll(counters, horizon);
-    ++events;
+    const StatisticsManager before = indexed.stats();
+    indexed.ValidateRelevant(counters, horizon, &delta);
+    oracle.ValidateAll(counters, horizon, &delta);
     ASSERT_EQ(StateOf(indexed), StateOf(oracle)) << "round " << round;
-    EXPECT_EQ(indexed.stats().reconcile_entries_touched +
-                  indexed.stats().reconcile_entries_skipped,
-              events * indexed.resident());
+    const StatisticsManager& after = indexed.stats();
+    EXPECT_EQ(after.reconcile_entries_touched + after.reconcile_entries_skipped -
+                  before.reconcile_entries_touched -
+                  before.reconcile_entries_skipped,
+              indexed.resident())
+        << "round " << round;
+    EXPECT_EQ(after.fragment_reconcile_touched +
+                  after.fragment_reconcile_skipped -
+                  before.fragment_reconcile_touched -
+                  before.fragment_reconcile_skipped,
+              indexed.fragments().size())
+        << "round " << round;
     EXPECT_EQ(oracle.stats().reconcile_entries_skipped, 0u);
+    EXPECT_EQ(oracle.stats().fragment_reconcile_skipped, 0u);
+    if (round % 8 == 5) {
+      admit_both(100 + round);
+      offer_fragment_both(static_cast<Label>(200 + round), 100 + round);
+      ASSERT_EQ(StateOf(indexed), StateOf(oracle)) << "round " << round;
+    }
   }
+  EXPECT_GE(horizon_growths, 10u);
+  // The hook fired on both of its handled branches, identically.
+  EXPECT_GT(indexed.stats().delta_revalidations, 0u);
+  EXPECT_GT(indexed.stats().delta_fallback_full_checks, 0u);
+  EXPECT_EQ(indexed.stats().delta_revalidations,
+            oracle.stats().delta_revalidations);
+  EXPECT_EQ(indexed.stats().delta_fallback_full_checks,
+            oracle.stats().delta_fallback_full_checks);
   // Localized batches against block-granular footprints must actually
   // skip work — that is the point of the index.
   EXPECT_GT(indexed.stats().reconcile_entries_skipped, 0u);
-  EXPECT_EQ(oracle.stats().reconcile_entries_touched,
-            events * oracle.resident());
+  EXPECT_GT(indexed.stats().fragment_reconcile_skipped, 0u);
 }
 
 TEST(RelevanceIndexManagerTest, ValidateRelevantExtendsAllIndicators) {
   // Extension to a new horizon applies to every resident entry even when
   // the batch affects none of them (new ids default to invalid).
-  CacheManager cm(ManagerOptions(true));
+  CacheManager cm(ManagerOptions());
   DynamicBitset answer(4);
   DynamicBitset valid(4, true);
   cm.Admit(MakePath({0, 0}), CachedQueryKind::kSubgraph, std::move(answer),

@@ -1,19 +1,17 @@
-// Copy-cost equivalence gates (PR 6), in two halves:
+// Copy-cost equivalence gates, in two halves:
 //
 // 1. CopySharingEquivalenceTest — over a 300-step churn of interleaved
-//    queries and dataset changes, the shipped configuration (survivors
-//    share ownership of the resident graph, thread-arena scratch, SIMD
-//    kernels at the widest detected level, on both the epoch and the
-//    lock read path) must replay the full oracle configuration
-//    (deep-copied survivors, plain-heap scratch, scalar kernels)
-//    bit-exactly: same answers, same resident population, same
-//    admission/eviction/hit counters.
+//    queries and dataset changes, the shipped configuration (thread-arena
+//    scratch, SIMD kernels at the widest detected level, on both the
+//    epoch and the lock read path) must replay the oracle configuration
+//    (plain-heap scratch, scalar kernels, lock path) bit-exactly: same
+//    answers, same resident population, same admission/eviction/hit
+//    counters. Discovery survivors share ownership of the resident graph
+//    on every side.
 //
-// 2. Counter semantics: StatisticsManager::shard_lock_graph_copies is
-//    pinned to zero whenever survivors share ownership (and is the only
-//    thing the deep-copy oracle moves), and snapshot_summary_copies
-//    increments exactly once per FTV-mutating change batch — zero on a
-//    churn-free run, never on snapshot publishes.
+// 2. Counter semantics: snapshot_summary_copies increments exactly once
+//    per FTV-mutating change batch — zero on a churn-free run, never on
+//    snapshot publishes.
 
 #include <gtest/gtest.h>
 
@@ -48,7 +46,6 @@ std::vector<Graph> SmallCorpus(std::uint64_t seed) {
 struct PathConfig {
   std::string label;
   bool epoch = false;
-  bool copy_survivors = false;
   bool arena = true;
   simd::SimdLevel simd_level = simd::SimdLevel::kScalar;
 };
@@ -78,7 +75,6 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.window_capacity = 4;
   opts.num_shards = 2;
   opts.epoch_reads = cfg.epoch;
-  opts.copy_discovery_survivors = cfg.copy_survivors;
   opts.use_ftv_index = true;  // summary-clone accounting live everywhere
   e.gc = std::make_unique<GraphCachePlus>(e.ds.get(), opts);
   return e;
@@ -125,15 +121,13 @@ void RunChurnReplay(CacheModel model) {
   const Workload w = GenerateTypeAByName(corpus, "ZU", kSteps, /*seed=*/909,
                                          /*zipf_alpha=*/1.2);
 
-  // The full "before" oracle, then the shipped configuration on both
-  // read paths.
-  const PathConfig oracle_cfg{"oracle(copy+heap+scalar,lock)", false, true,
-                              false, simd::SimdLevel::kScalar};
+  // The "before" oracle, then the shipped configuration on both read
+  // paths.
+  const PathConfig oracle_cfg{"oracle(heap+scalar,lock)", false, false,
+                              simd::SimdLevel::kScalar};
   const std::vector<PathConfig> variant_cfgs = {
-      {"shared+arena+simd,lock", false, false, true,
-       simd::DetectedSimdLevel()},
-      {"shared+arena+simd,epoch", true, false, true,
-       simd::DetectedSimdLevel()},
+      {"arena+simd,lock", false, true, simd::DetectedSimdLevel()},
+      {"arena+simd,epoch", true, true, simd::DetectedSimdLevel()},
   };
 
   EngineUnderTest oracle = MakeEngine(corpus, model, oracle_cfg);
@@ -189,10 +183,9 @@ void RunChurnReplay(CacheModel model) {
   const std::vector<std::uint64_t> oracle_digests =
       SortedResidentDigests(*oracle.gc);
 
-  // The oracle really exercised the deep-copy path, and its summary
-  // clones happened exactly once per mutating batch.
+  // The oracle really admitted, and its summary clones happened exactly
+  // once per mutating batch.
   EXPECT_GT(oracle_stats.total_admissions, 0u);
-  EXPECT_GT(oracle_stats.shard_lock_graph_copies, 0u);
   EXPECT_EQ(oracle_stats.snapshot_summary_copies, mutation_batches);
 
   for (EngineUnderTest& e : variants) {
@@ -214,9 +207,7 @@ void RunChurnReplay(CacheModel model) {
         << e.cfg.label;
     EXPECT_EQ(stats.total_super_hits, oracle_stats.total_super_hits)
         << e.cfg.label;
-    // ...with ZERO graphs deep-copied under a shard lock, and the same
-    // one-clone-per-mutating-batch FTV accounting.
-    EXPECT_EQ(stats.shard_lock_graph_copies, 0u) << e.cfg.label;
+    // ...and the same one-clone-per-mutating-batch FTV accounting.
     EXPECT_EQ(stats.snapshot_summary_copies, mutation_batches)
         << e.cfg.label;
   }
@@ -238,7 +229,7 @@ TEST(CopySharingEquivalenceTest, NoMutationsMeansNoSummaryCopies) {
   for (const bool epoch : {false, true}) {
     EngineUnderTest e = MakeEngine(
         corpus, CacheModel::kCon,
-        PathConfig{epoch ? "epoch" : "lock", epoch, false, true,
+        PathConfig{epoch ? "epoch" : "lock", epoch, true,
                    simd::DetectedSimdLevel()});
     e.Activate();
     for (std::size_t i = 0; i < w.size(); ++i) {
@@ -251,7 +242,6 @@ TEST(CopySharingEquivalenceTest, NoMutationsMeansNoSummaryCopies) {
     // published (epoch path), but with no FTV-mutating batch not one
     // clone of the summaries is allowed.
     EXPECT_EQ(stats.snapshot_summary_copies, 0u);
-    EXPECT_EQ(stats.shard_lock_graph_copies, 0u);
     EXPECT_GT(stats.total_admissions, 0u);
   }
 }

@@ -59,9 +59,9 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.num_shards = shards;
   opts.epoch_reads = epoch;
   opts.use_ftv_index = ftv;
-  opts.use_fragment_cache = fragments;
-  // Small enough that the churn exercises fragment LRU eviction too.
-  opts.fragment_capacity = 24;
+  // Small enough that the churn exercises fragment LRU eviction too; 0
+  // is the fragment-free oracle.
+  opts.fragment_capacity = fragments ? 24 : 0;
   if (!admission) {
     opts.enable_admission = false;
     opts.enable_exact_shortcut = false;

